@@ -670,7 +670,7 @@ let coordinate_cmd =
       non_empty & opt_all cluster_addr []
       & info [ "worker" ] ~docv:"ADDR"
           ~doc:"Address of a worker daemon (repeatable).  Every worker is pinged at startup \
-                and must speak protocol v3.")
+                and must speak the same protocol version.")
   in
   let lanes_arg =
     Arg.(
@@ -1194,7 +1194,7 @@ let trace_dump_cmd =
        ~doc:
          "Capture a live daemon's span rings into a binary .tdump file — the e2e harness \
           dumps every worker before killing one, so the victim's spans survive into the \
-          merged trace.  Requires a daemon with tracing enabled (--trace) and protocol v5.")
+          merged trace.  Requires a daemon with tracing enabled (--trace).")
     Term.(const run $ socket_arg $ out_arg)
 
 let trace_merge_cmd =

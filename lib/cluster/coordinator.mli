@@ -18,7 +18,7 @@
     {2 Failover}
 
     Workers journal every predicate evaluation before streaming it back
-    as a v3 [Verdict] frame; the coordinator mirrors each verdict into
+    as a [Verdict] frame; the coordinator mirrors each verdict into
     the shared {!Cache} (and its own journal) as it arrives.  When a
     worker dies mid-job — connection refused, reset, or EOF without a
     terminal frame — its queued jobs are redistributed and the in-flight
@@ -32,7 +32,7 @@
 
     When tracing is live (or the submitting client shipped a trace
     context), every job gets a context whose parent span is a fresh
-    coordinator-side {e job span id}, forwarded to workers in the v5
+    coordinator-side {e job span id}, forwarded to workers in the
     spec.  Worker-side spans then carry that id as [ctx.parent]; the
     coordinator records one [coordinator.job] span per job (admission →
     terminal state, with the job span id as its [span_id] arg — the
@@ -69,8 +69,9 @@ type t
 
 val create : config -> t
 (** Registers (pings) every worker — raises [Failure] if one is
-    unreachable or negotiates protocol < 3 — recovers journaled pending
-    jobs, and starts the pump threads. *)
+    unreachable or speaks another protocol version — recovers journaled
+    pending jobs (marking [failed] any whose spec does not decode), and
+    starts the pump threads. *)
 
 val backend : t -> Lbr_server.Server.backend
 (** Plug into {!Lbr_server.Server.start_backend}.  Its [b_drain] waits for

@@ -36,24 +36,23 @@ let rec includes_sorted ~baseline messages =
       else if c > 0 then includes_sorted ~baseline ms
       else false
 
+let resolve_tool spec pool =
+  match spec with
+  | "" -> (
+      match
+        List.find_opt (fun t -> Lbr_decompiler.Tool.is_buggy_on t pool) Lbr_decompiler.Tool.all
+      with
+      | Some t -> Ok t
+      | None -> Error "no tool is buggy on this pool")
+  | name -> (
+      match
+        List.find_opt (fun (t : Lbr_decompiler.Tool.t) -> t.name = name) Lbr_decompiler.Tool.all
+      with
+      | Some t -> Ok t
+      | None -> Error (Printf.sprintf "unknown tool %S" name))
+
 let predicate (_ : ctx) pool ~spec =
-  let tool =
-    match spec with
-    | "" -> (
-        match
-          List.find_opt (fun t -> Lbr_decompiler.Tool.is_buggy_on t pool) Lbr_decompiler.Tool.all
-        with
-        | Some t -> Ok t
-        | None -> Error "no tool is buggy on this pool")
-    | name -> (
-        match
-          List.find_opt (fun (t : Lbr_decompiler.Tool.t) -> t.name = name)
-            Lbr_decompiler.Tool.all
-        with
-        | Some t -> Ok t
-        | None -> Error (Printf.sprintf "unknown tool %S" name))
-  in
-  match tool with
+  match resolve_tool spec pool with
   | Error _ as e -> e
   | Ok tool -> (
       match Lbr_decompiler.Tool.errors tool pool with

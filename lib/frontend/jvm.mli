@@ -20,3 +20,9 @@ include Frontend.S with type input = Lbr_jvm.Classpool.t and type ctx = Lbr_jvm.
 val includes_sorted : baseline:string list -> string list -> bool
 (** Sorted-list inclusion: is every baseline message present?  The error
     comparison used by the predicate bridge (and by the harness). *)
+
+val resolve_tool : string -> Lbr_jvm.Classpool.t -> (Lbr_decompiler.Tool.t, string) result
+(** The predicate spec's tool: the one named, or for [""] the first tool
+    that is buggy on the pool.  [Error] names an unknown tool or a pool no
+    tool is buggy on.  The predicate bridge and the server's JVM runner
+    both resolve through this. *)

@@ -32,19 +32,18 @@ type outcome = {
 
 let default_cost pool = 1.0 +. (4e-4 *. float_of_int (Size.bytes pool))
 
-exception Cancelled
+exception Cancelled = Lbr_frontend.Run.Cancelled
 
-type evaluation = Fresh of bool | Replayed of bool
+type evaluation = Lbr_frontend.Run.evaluation = Fresh of bool | Replayed of bool
 
-type hooks = {
+type hooks = Lbr_frontend.Run.hooks = {
   on_improvement : (float -> int -> int -> unit) option;
   should_stop : (unit -> bool) option;
   evaluate : (key:string -> (unit -> bool) -> evaluation) option;
   peek : (key:string -> bool option) option;
 }
 
-let default_hooks =
-  { on_improvement = None; should_stop = None; evaluate = None; peek = None }
+let default_hooks = Lbr_frontend.Run.default_hooks
 
 (* Sorted-list inclusion: is every baseline message present?  Shared with
    the frontend subsystem's JVM predicate bridge. *)
@@ -72,7 +71,7 @@ type driver = {
   check_payload : phi:Assignment.t -> spec_payload -> bool;
 }
 
-let make_driver (instance : Corpus.instance) ~cost ~hooks =
+let make_driver (instance : Corpus.instance) ~hooks =
   let tool = instance.tool and baseline = instance.baseline_errors in
   let clock = ref 0.0 in
   let best = ref (max_int, max_int) in
@@ -120,7 +119,7 @@ let make_driver (instance : Corpus.instance) ~cost ~hooks =
   let check_pool ?phi sub =
     account ?phi
       ~key_of:(fun () -> Digest.to_hex (Digest.string (Serialize.to_bytes sub)))
-      ~charge:(cost sub)
+      ~charge:(default_cost sub)
       ~eval:(fun () -> includes_sorted ~baseline (Lbr_decompiler.Tool.errors tool sub))
       ~size:(fun () -> (Size.classes sub, Size.bytes sub))
       ()
@@ -195,7 +194,7 @@ let restrict_classes pool keep_names =
   |> List.filter (fun (c : Classfile.cls) -> List.mem c.Classfile.name keep_names)
   |> Classpool.of_classes
 
-let run_jreduce instance ~cost ~hooks =
+let run_jreduce instance ~hooks =
   let pool = instance.Corpus.benchmark.pool in
   let names = Array.of_list (Classpool.names pool) in
   let index_of =
@@ -214,7 +213,7 @@ let run_jreduce instance ~cost ~hooks =
     Lbr_baselines.Binary_reduction.Graph_encoding.closures ~num_vars:(Array.length names)
       ~edges ~required:[]
   in
-  let driver = make_driver instance ~cost ~hooks in
+  let driver = make_driver instance ~hooks in
   let sub_pool_of assignment =
     Lbr_logic.Perf.time "jvm.restrict-classes" @@ fun () ->
     restrict_classes pool (List.map (fun i -> names.(i)) (Assignment.to_list assignment))
@@ -255,7 +254,7 @@ let item_context instance =
   in
   (pool, vpool, jv, cnf)
 
-let run_lossy instance ~pick ~strategy ~cost ~hooks =
+let run_lossy instance ~pick ~strategy ~hooks =
   let pool, vpool, jv, cnf = item_context instance in
   let encoded = Lbr.Lossy.encode cnf ~pick in
   let edges, required = Lbr.Lossy.to_graph encoded in
@@ -263,7 +262,7 @@ let run_lossy instance ~pick ~strategy ~cost ~hooks =
     Lbr_baselines.Binary_reduction.Graph_encoding.closures ~num_vars:(Var.Pool.size vpool)
       ~edges ~required
   in
-  let driver = make_driver instance ~cost ~hooks in
+  let driver = make_driver instance ~hooks in
   let sub_pool_of = Reducer.prepare jv pool in
   let predicate =
     Lbr.Predicate.make ~name:"lossy" (fun phi -> driver.check_pool ~phi (sub_pool_of phi))
@@ -278,9 +277,9 @@ let run_lossy instance ~pick ~strategy ~cost ~hooks =
   let final = sub_pool_of result in
   (finish instance strategy driver ~runs ~ok ~final ~wall_time, final)
 
-let run_gbr ?speculate instance ~cost ~hooks =
+let run_gbr ?speculate instance ~hooks =
   let pool, vpool, jv, cnf = item_context instance in
-  let driver = make_driver instance ~cost ~hooks in
+  let driver = make_driver instance ~hooks in
   let sub_pool_of = Reducer.prepare jv pool in
   let speculation =
     match speculate with
@@ -295,7 +294,7 @@ let run_gbr ?speculate instance ~cost ~hooks =
           let sub = (Domain.DLS.get applier) phi in
           {
             sp_ok = includes_sorted ~baseline (Lbr_decompiler.Tool.errors tool sub);
-            sp_cost = cost sub;
+            sp_cost = default_cost sub;
             sp_classes = Size.classes sub;
             sp_bytes = Size.bytes sub;
           }
@@ -344,8 +343,7 @@ let run_gbr ?speculate instance ~cost ~hooks =
   let final = sub_pool_of result in
   (finish instance Gbr driver ~runs ~ok ~final ~wall_time, final)
 
-let run_with ?(cost = default_cost) ?(hooks = default_hooks) ?speculate strategy
-    instance =
+let run_with ?(hooks = default_hooks) ?speculate strategy instance =
   Lbr_obs.Trace.with_span "harness.instance"
     ~args:(fun () ->
       [
@@ -354,29 +352,27 @@ let run_with ?(cost = default_cost) ?(hooks = default_hooks) ?speculate strategy
       ])
   @@ fun () ->
   match strategy with
-  | Jreduce -> run_jreduce instance ~cost ~hooks
-  | Lossy_first ->
-      run_lossy instance ~pick:Lbr.Lossy.First_first ~strategy:Lossy_first ~cost ~hooks
-  | Lossy_last -> run_lossy instance ~pick:Lbr.Lossy.Last_last ~strategy:Lossy_last ~cost ~hooks
-  | Gbr -> run_gbr ?speculate instance ~cost ~hooks
+  | Jreduce -> run_jreduce instance ~hooks
+  | Lossy_first -> run_lossy instance ~pick:Lbr.Lossy.First_first ~strategy:Lossy_first ~hooks
+  | Lossy_last -> run_lossy instance ~pick:Lbr.Lossy.Last_last ~strategy:Lossy_last ~hooks
+  | Gbr -> run_gbr ?speculate instance ~hooks
 
-let run ?(cost = default_cost) strategy instance = fst (run_with ~cost strategy instance)
+let run strategy instance = fst (run_with strategy instance)
 
 (* Instances are independent — each run builds its own variable pool,
    constraints, predicate, and driver — so fanning them across a domain
    pool changes nothing but wall clock.  [jobs = 1] deliberately bypasses
    the pool: it is byte-for-byte the sequential path above. *)
-let run_corpus_full ?(cost = default_cost) ?(jobs = 1)
-    ?(hooks = fun (_ : Corpus.instance) -> default_hooks) ?speculate strategy
-    instance_list =
+let run_corpus_full ?(jobs = 1) ?(hooks = fun (_ : Corpus.instance) -> default_hooks)
+    ?speculate strategy instance_list =
   if jobs < 1 then invalid_arg "Experiment.run_corpus: jobs must be >= 1";
   let run_one instance =
-    run_with ~cost ~hooks:(hooks instance) ?speculate strategy instance
+    run_with ~hooks:(hooks instance) ?speculate strategy instance
   in
   if jobs = 1 then List.map run_one instance_list
   else
     Lbr_runtime.Pool.with_pool ~jobs (fun pool ->
         Lbr_runtime.Pool.map_list pool run_one instance_list)
 
-let run_corpus ?(cost = default_cost) ?(jobs = 1) strategy instance_list =
-  List.map fst (run_corpus_full ~cost ~jobs strategy instance_list)
+let run_corpus ?(jobs = 1) strategy instance_list =
+  List.map fst (run_corpus_full ~jobs strategy instance_list)

@@ -38,16 +38,21 @@ type outcome = {
 }
 
 val default_cost : Classpool.t -> float
-(** [1.0 + 4e-4 × bytes] simulated seconds per decompile+recompile. *)
+(** [1.0 + 4e-4 × bytes] simulated seconds per decompile+recompile — the
+    cost every run charges. *)
 
 exception Cancelled
-(** Raised out of a run when [hooks.should_stop] returns [true]. *)
+(** Raised out of a run when [hooks.should_stop] returns [true].  It is
+    {!Lbr_frontend.Run.Cancelled} itself, and [evaluation] and [hooks] are
+    Run's types re-exported: the JVM driver here and the generic frontend
+    driver share one hook surface, so a caller builds the same hooks and
+    catches the same exception for either. *)
 
-type evaluation = Fresh of bool | Replayed of bool
+type evaluation = Lbr_frontend.Run.evaluation = Fresh of bool | Replayed of bool
 (** How a hooked predicate evaluation was answered: by actually running the
     tool ([Fresh]) or from a replayed/memoized source ([Replayed]). *)
 
-type hooks = {
+type hooks = Lbr_frontend.Run.hooks = {
   on_improvement : (float -> int -> int -> unit) option;
       (** called with (simulated time, classes, bytes) at every timeline
           improvement — how the server streams progress *)
@@ -71,10 +76,9 @@ type hooks = {
 val default_hooks : hooks
 (** All fields [None]: exactly the unhooked behaviour. *)
 
-val run : ?cost:(Classpool.t -> float) -> strategy -> Corpus.instance -> outcome
+val run : strategy -> Corpus.instance -> outcome
 
 val run_with :
-  ?cost:(Classpool.t -> float) ->
   ?hooks:hooks ->
   ?speculate:Lbr_runtime.Pool.t ->
   strategy ->
@@ -89,13 +93,11 @@ val run_with :
     and next-iteration builds for both branches of each pending verdict
     run speculatively, with the losing branch cancelled when the verdict
     lands.  Every outcome field except [wall_time] is byte-identical to
-    the sequential run.  Requires a deterministic [cost] function and a
-    fault-free tool (speculative workers execute the tool directly; with
+    the sequential run.  Requires a fault-free tool (speculative workers execute the tool directly; with
     {!Lbr_decompiler.Tool.Faults} injection the shared fault schedule's
     draw order — hence byte-identity — is no longer guaranteed). *)
 
 val run_corpus :
-  ?cost:(Classpool.t -> float) ->
   ?jobs:int ->
   strategy ->
   Corpus.instance list ->
@@ -109,7 +111,6 @@ val run_corpus :
     pure in their keys). *)
 
 val run_corpus_full :
-  ?cost:(Classpool.t -> float) ->
   ?jobs:int ->
   ?hooks:(Corpus.instance -> hooks) ->
   ?speculate:Lbr_runtime.Pool.t ->

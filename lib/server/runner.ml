@@ -24,16 +24,27 @@ let key_assignment key =
     key;
   Lbr_logic.Assignment.of_list !vars
 
-let resolve_tool name pool =
-  match name with
-  | "" -> (
-      match List.find_opt (fun t -> Tool.is_buggy_on t pool) Tool.all with
-      | Some t -> Ok t
-      | None -> Error "no tool is buggy on this pool")
-  | name -> (
-      match List.find_opt (fun t -> t.Tool.name = name) Tool.all with
-      | Some t -> Ok t
-      | None -> Error (Printf.sprintf "unknown tool %S" name))
+(* The hooks both drivers run under: progress and cancellation from the
+   scheduler context, and every evaluation answered from the journal's
+   replay table when it can be, else by [execute] (which runs the black
+   box and reports the verdict and the retries it took) and WAL-ed before
+   it is used. *)
+let hooks (ctx : Scheduler.runner_ctx) ~execute =
+  let evaluate ~key thunk =
+    match Hashtbl.find_opt ctx.replay key with
+    | Some cached -> Experiment.Replayed cached
+    | None ->
+        let t0 = Unix.gettimeofday () in
+        let ok, retries = execute ~key thunk in
+        ctx.record ~key ~ok ~latency:(Unix.gettimeofday () -. t0) ~retries;
+        Experiment.Fresh ok
+  in
+  {
+    Experiment.on_improvement = Some ctx.progress;
+    should_stop = Some ctx.should_stop;
+    evaluate = Some evaluate;
+    peek = Some (fun ~key -> Hashtbl.find_opt ctx.replay key);
+  }
 
 (* Non-JVM frontends run through the generic frontend driver.  There is no
    out-of-process tool, hence no oracle: the predicate is the frontend's
@@ -51,28 +62,9 @@ let reduce_frontend (ctx : Scheduler.runner_ctx) (spec : Wire.spec) =
             (Printf.sprintf "frontend %S only supports the gbr strategy"
                spec.frontend)
       | Experiment.Gbr -> (
-          let evaluate ~key thunk =
-            match Hashtbl.find_opt ctx.replay key with
-            | Some cached -> Lbr_frontend.Run.Replayed cached
-            | None ->
-                let t0 = Unix.gettimeofday () in
-                let ok = thunk () in
-                ctx.record ~key ~ok ~latency:(Unix.gettimeofday () -. t0) ~retries:0;
-                Lbr_frontend.Run.Fresh ok
-          in
-          let hooks =
-            {
-              Lbr_frontend.Run.on_improvement = Some ctx.progress;
-              should_stop = Some ctx.should_stop;
-              evaluate = Some evaluate;
-              peek = Some (fun ~key -> Hashtbl.find_opt ctx.replay key);
-            }
-          in
+          let hooks = hooks ctx ~execute:(fun ~key:_ thunk -> (thunk (), 0)) in
           match
-            try
-              Lbr_frontend.Run.reduce_text ~hooks packed ~text:spec.pool_bytes
-                ~spec:spec.tool
-            with Lbr_frontend.Run.Cancelled -> raise Experiment.Cancelled
+            Lbr_frontend.Run.reduce_text ~hooks packed ~text:spec.pool_bytes ~spec:spec.tool
           with
           | Error _ as e -> e
           | Ok (outcome, printed) ->
@@ -98,7 +90,7 @@ let reduce_jvm (ctx : Scheduler.runner_ctx) (spec : Wire.spec) =
   match Serialize.of_bytes spec.pool_bytes with
   | Error m -> Error ("undecodable pool: " ^ m)
   | Ok pool -> (
-      match resolve_tool spec.tool pool with
+      match Lbr_frontend.Jvm.resolve_tool spec.tool pool with
       | Error _ as e -> e
       | Ok tool -> (
           match Tool.errors tool pool with
@@ -127,26 +119,12 @@ let reduce_jvm (ctx : Scheduler.runner_ctx) (spec : Wire.spec) =
                 }
               in
               let oracle = Oracle.make ~config ~name:ctx.job_id (fun _ -> !current ()) in
-              let evaluate ~key thunk =
-                match Hashtbl.find_opt ctx.replay key with
-                | Some cached -> Experiment.Replayed cached
-                | None ->
+              let hooks =
+                hooks ctx ~execute:(fun ~key thunk ->
                     current := thunk;
                     let retries0 = Oracle.retries_used oracle in
-                    let t0 = Unix.gettimeofday () in
                     let ok = Oracle.run oracle (key_assignment key) in
-                    ctx.record ~key ~ok
-                      ~latency:(Unix.gettimeofday () -. t0)
-                      ~retries:(Oracle.retries_used oracle - retries0);
-                    Experiment.Fresh ok
-              in
-              let hooks =
-                {
-                  Experiment.on_improvement = Some ctx.progress;
-                  should_stop = Some ctx.should_stop;
-                  evaluate = Some evaluate;
-                  peek = Some (fun ~key -> Hashtbl.find_opt ctx.replay key);
-                }
+                    (ok, Oracle.retries_used oracle - retries0))
               in
               let outcome, final = Experiment.run_with ~hooks spec.strategy instance in
               let stats =

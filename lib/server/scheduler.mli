@@ -34,7 +34,7 @@ type event =
           configured, already WAL-ed) — the feed for the cluster-wide
           verdict cache.  Replayed verdicts do not re-emit.  [ctx] is the
           job's trace context (minted at admission when tracing is live),
-          echoed so the wire layer can stamp v5 [Verdict] frames. *)
+          echoed so the wire layer can stamp [Verdict] frames. *)
   | Finished of status
 
 type runner_ctx = {

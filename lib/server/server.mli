@@ -5,12 +5,11 @@
 
     One accept loop (a thread polling with [select] so it can notice a
     stop request), one handler thread per connection.  A connection must
-    open with [Hello]; after the [Hello_ok] reply the client may pipeline
-    [Submit]/[Submit_seeded] and [Cancel] frames.  Replies and streamed
-    job events share the connection under a per-connection write lock.
-    The negotiated version gates what the server sends: [Verdict] frames
-    (v3) are dropped, not sent, on v1/v2 connections, so old clients
-    interoperate with a v3 daemon unchanged.  A malformed frame gets a
+    open with [Hello {!Wire.protocol_version}]; a [Hello] with any other
+    version gets a [Protocol_error] and the connection is closed.  After
+    the [Hello_ok] reply the client may pipeline [Submit]/[Submit_seeded]
+    and [Cancel] frames.  Replies and streamed job events share the
+    connection under a per-connection write lock.  A malformed frame gets a
     [Protocol_error] reply and the connection is closed; a clean EOF just
     closes it (outstanding jobs keep running — results for them are
     dropped, which is fine because they are journaled).

@@ -1,7 +1,7 @@
 (** The reduction service's wire protocol.
 
     Length-prefixed binary frames over a stream socket — a Unix domain
-    socket or, since v3, a TCP connection (see {!Addr}); the framing is
+    socket or a TCP connection (see {!Addr}); the framing is
     byte-identical on both transports.  Every integer is big-endian,
     matching [Lbr_jvm.Serialize]'s conventions (the LBRC pool container
     is the payload of submissions and results).
@@ -12,12 +12,21 @@
     str16    := len(u16) bytes
     bytes32  := len(u32) bytes
     f64      := IEEE-754 bits, 8 bytes big-endian
+    ctx      := 0 | 1 trace_id(str16) parent_span(str16)
+    spec     := tool(str16) strategy(u8) priority(u8) crash_policy(u8)
+                retries(u16) pool(bytes32) frontend(str16) ctx
     v}
 
-    A connection starts with version negotiation: the client sends
-    [Hello v] (the highest protocol version it speaks) and the server
-    answers [Hello_ok (min v protocol_version)] — or [Protocol_error] and
-    closes if the versions share no common ground.  After that the client
+    Every field is written every time, in a fixed order; optional values
+    sit behind a presence byte.  So every payload is a concatenation of
+    self-delimiting fields, and no strict prefix of a payload decodes as
+    a whole message.
+
+    A connection starts with a handshake that only checks the version:
+    the client sends [Hello protocol_version] and the server answers
+    [Hello_ok protocol_version].  Any other version gets
+    [Protocol_error "protocol version mismatch (peer v, node n)"] and a
+    closed connection; there is no negotiation.  After that the client
     may pipeline [Submit] and [Cancel] requests; the server interleaves
     [Accepted]/[Rejected]/[Cancel_ok] replies with streamed [Progress]
     events and a terminal [Result]/[Job_failed] per job.
@@ -28,23 +37,11 @@
     clients. *)
 
 val protocol_version : int
-(** Currently [5].  v2 added [Stats_request]/[Stats_reply]; v3 added
-    [Submit_seeded]/[Verdict] (the cluster coordinator's vocabulary) and
-    TCP listeners; v4 added the spec's [frontend] tag, an optional
-    trailing str16 at the very end of [Submit]/[Submit_seeded] payloads
-    written only for non-JVM frontends — JVM frames are byte-identical
-    to v3, and v3 journals replay with [frontend = "jvm"].  v5 adds
-    distributed observability: [Submit]/[Submit_seeded] may end with a
-    trace context (then the frontend tag is always written, followed by
-    trace id and parent span id), [Verdict] may end with the same
-    context, and [Trace_dump_request]/[Metrics_dump_request] pull a
-    node's span ring and metric registry.  Every optional v5 field is
-    written only when present, so context-free v5 frames are
-    byte-identical to v4.  A peer on an older version negotiates down
-    during the handshake and simply never sends — or receives — the
-    newer frames: a v5 daemon strips contexts on < 5 connections,
-    rejects non-JVM submissions on < 4, and gates [Verdict] streaming
-    on ≥ 3, so old clients interoperate unchanged. *)
+(** Currently [6], the first version with the fixed layout above.  Both
+    ends must speak exactly this version: a daemon rejects any other
+    [Hello], and {!Client.connect} rejects any other [Hello_ok].  Bump it
+    whenever the byte layout changes.  Journals written by earlier
+    versions do not decode; recovery marks their pending jobs failed. *)
 
 val max_frame : int
 (** Hard ceiling on a frame payload (64 MiB); larger lengths are rejected
@@ -64,12 +61,12 @@ type spec = {
           JVM frontend, the frontend's own text format otherwise *)
   frontend : string;
       (** which {!Lbr_frontend.Registry} frontend interprets
-          [pool_bytes]; ["jvm"] is the v3-compatible default.  For
+          [pool_bytes] (["jvm"] for LBRC class pools).  For
           non-JVM frontends [tool] carries the frontend's predicate
           spec, and the result's [stats.classes0]/[classes1] carry the
           frontend's item counts. *)
   trace_ctx : Lbr_obs.Trace.Context.t option;
-      (** v5: the job's distributed trace context.  Minted by whichever
+      (** the job's distributed trace context.  Minted by whichever
           node admits the job first (coordinator or scheduler), carried
           with the spec everywhere it goes — wire, journal, failover
           reseeds — and installed around the runner so every span the
@@ -111,11 +108,11 @@ type daemon_stats = {
 }
 
 type message =
-  | Hello of int  (** client → server: highest version the client speaks *)
-  | Hello_ok of int  (** server → client: negotiated version *)
+  | Hello of int  (** client → server: the client's protocol version *)
+  | Hello_ok of int  (** server → client: the same version, accepted *)
   | Submit of spec
   | Submit_seeded of { spec : spec; seeds : (string * bool) list }
-      (** v3, client → server: submit plus pre-paid predicate verdicts
+      (** client → server: submit plus pre-paid predicate verdicts
           (digest key, outcome) that seed the job's replay table — the
           coordinator's failover and shared-cache path.  Replayed
           verdicts count in [stats.replayed_runs], not tool executions. *)
@@ -128,24 +125,22 @@ type message =
   | Result of { job_id : string; stats : stats; pool_bytes : string }
   | Job_failed of { job_id : string; reason : string }
   | Protocol_error of string
-  | Stats_request  (** v2, client → server: live introspection snapshot *)
-  | Stats_reply of daemon_stats  (** v2, server → client *)
+  | Stats_request  (** client → server: live introspection snapshot *)
+  | Stats_reply of daemon_stats  (** server → client *)
   | Verdict of {
       job_id : string;
       key : string;
       ok : bool;
       ctx : Lbr_obs.Trace.Context.t option;
     }
-      (** v3, server → client, only on connections that negotiated ≥ 3:
-          one frame per {e fresh} predicate evaluation, emitted after the
-          verdict is journaled.  The coordinator folds these into the
-          cluster-wide verdict cache as they happen, so a job's paid
-          executions survive its worker.  [ctx] (v5, trailing, written
-          only when present and the connection negotiated ≥ 5) echoes
-          the job's trace context so the receiver can attribute the
-          evaluation to the right distributed trace. *)
+      (** server → client: one frame per {e fresh} predicate
+          evaluation, emitted after the verdict is journaled.  The
+          coordinator folds these into the cluster-wide verdict cache as
+          they happen, so a job's paid executions survive its worker.
+          [ctx] echoes the job's trace context so the receiver can
+          attribute the evaluation to the right distributed trace. *)
   | Trace_dump_request
-      (** v5, client → server: ask for the node's span rings. *)
+      (** client → server: ask for the node's span rings. *)
   | Trace_dump_reply of {
       node : string;  (** the daemon's self-chosen lane label *)
       epoch : float;  (** absolute second its trace [ts = 0] maps to *)
@@ -156,7 +151,7 @@ type message =
       events : Lbr_obs.Trace.event list;
     }
   | Metrics_dump_request
-      (** v5, client → server: ask for the node's metric registry. *)
+      (** client → server: ask for the node's metric registry. *)
   | Metrics_dump_reply of { node : string; dump : Lbr_obs.Metrics.dump }
       (** The registry snapshot the coordinator's federation loop merges
           ({!Lbr_obs.Metrics.merge_dumps}). *)

@@ -668,6 +668,41 @@ let test_cluster_no_live_workers_fails_cleanly () =
   Server.stop front
 
 (* ------------------------------------------------------------------ *)
+(* Recovery: a journaled spec that does not decode (garbage, or one
+   written by another wire version) is marked failed, as the scheduler
+   does, instead of staying pending and being re-read on every restart. *)
+
+let test_cluster_recovery_marks_corrupt_spec_failed () =
+  let w = start_worker () in
+  let journal_dir = fresh_dir "corruptspec" in
+  let journal = Journal.open_dir journal_dir in
+  Journal.record_job journal ~id:"job-000001" ~spec:"not a spec";
+  Journal.close journal;
+  let coordinator =
+    Coordinator.create
+      {
+        Coordinator.workers = [ Server.bound_addr w ];
+        lanes = 1;
+        queue_depth = 8;
+        cache_path = None;
+        journal_dir = Some journal_dir;
+        poll_interval = 0.;
+      }
+  in
+  Alcotest.(check int) "nothing recovered" 0 (Coordinator.recovered coordinator);
+  (Coordinator.backend coordinator).Server.b_drain ();
+  Server.stop w;
+  let failed = Filename.concat (Filename.concat journal_dir "job-000001") "failed" in
+  Alcotest.(check bool) "failed marker written" true (Sys.file_exists failed);
+  let reason = In_channel.with_open_bin failed In_channel.input_all in
+  Alcotest.(check bool) "marker names the corrupt spec" true
+    (String.starts_with ~prefix:"corrupt journaled spec: " reason);
+  let journal = Journal.open_dir journal_dir in
+  Alcotest.(check (list string)) "no longer pending" []
+    (List.map fst (Journal.pending journal));
+  Journal.close journal
+
+(* ------------------------------------------------------------------ *)
 (* Trace merging: .tdump codec and cross-node flow arrows               *)
 
 let tdump_gen =
@@ -871,5 +906,7 @@ let () =
             test_cluster_no_live_workers_fails_cleanly;
           Alcotest.test_case "federated metrics merge to the exact sum" `Quick
             test_cluster_federated_metrics_sum;
+          Alcotest.test_case "recovery marks an undecodable spec failed" `Quick
+            test_cluster_recovery_marks_corrupt_spec_failed;
         ] );
     ]

@@ -474,15 +474,8 @@ let wire_spec frontend =
 
 let test_wire_frontend_tag () =
   let module Wire = Lbr_server.Wire in
-  (* jvm frames carry no tag: payload is byte-identical to v3 *)
   let jvm = wire_spec "jvm" in
   let strip_frame s = String.sub s 4 (String.length s - 4) in
-  let jvm_bytes = strip_frame (Wire.encode (Wire.Submit jvm)) in
-  let tagged_bytes = strip_frame (Wire.encode (Wire.Submit (wire_spec "dimacs"))) in
-  Alcotest.(check int) "tag costs len16 + bytes"
-    (String.length jvm_bytes + 2 + String.length "dimacs")
-    (String.length tagged_bytes);
-  (* round-trips *)
   let roundtrip msg =
     match Wire.decode_payload (strip_frame (Wire.encode msg)) with
     | Ok m -> m
@@ -497,9 +490,8 @@ let test_wire_frontend_tag () =
       Alcotest.(check string) "seeded tag survives" "dimacs" spec.Wire.frontend;
       Alcotest.(check int) "seeds survive" 1 (List.length seeds)
   | _ -> Alcotest.fail "wrong message");
-  (* a v3 frame (no tag) decodes with the jvm default *)
   (match roundtrip (Wire.Submit jvm) with
-  | Wire.Submit spec -> Alcotest.(check string) "v3 default" "jvm" spec.Wire.frontend
+  | Wire.Submit spec -> Alcotest.(check string) "jvm tag survives" "jvm" spec.Wire.frontend
   | _ -> Alcotest.fail "wrong message");
   (* journal spec records round-trip the tag too *)
   let spec = wire_spec "fj" in
@@ -507,7 +499,7 @@ let test_wire_frontend_tag () =
   | Ok s -> Alcotest.(check string) "journal tag survives" "fj" s.Wire.frontend
   | Error m -> Alcotest.failf "spec_of_string: %s" m);
   match Wire.spec_of_string (Wire.spec_to_string jvm) with
-  | Ok s -> Alcotest.(check string) "journal jvm default" "jvm" s.Wire.frontend
+  | Ok s -> Alcotest.(check string) "journal jvm tag survives" "jvm" s.Wire.frontend
   | Error m -> Alcotest.failf "spec_of_string: %s" m
 
 let test_cache_key_frontend () =

@@ -257,18 +257,17 @@ let prop_wire_decode_never_raises =
     (fun data ->
       match Wire.decode_payload data with Ok _ | Error _ -> true)
 
+(* Every field is self-delimiting and always written, so no strict prefix
+   of a payload is a whole message: check every cut of the drawn one. *)
 let prop_wire_truncation_rejected =
   QCheck.Test.make ~count:300 ~name:"truncated payloads decode to Error or valid prefix"
-    QCheck.(pair (int_bound (List.length sample_messages - 1)) (int_bound 1000))
-    (fun (i, cut) ->
-      let msg = List.nth sample_messages i in
-      let frame = Wire.encode msg in
+    QCheck.(int_bound (List.length sample_messages - 1))
+    (fun i ->
+      let frame = Wire.encode (List.nth sample_messages i) in
       let payload = String.sub frame 4 (String.length frame - 4) in
-      let keep = cut * (String.length payload - 1) / 1000 in
-      let truncated = String.sub payload 0 keep in
-      match Wire.decode_payload truncated with
-      | Ok _ -> false (* a strict prefix can never be a whole message *)
-      | Error _ -> true)
+      List.for_all
+        (fun keep -> Result.is_error (Wire.decode_payload (String.sub payload 0 keep)))
+        (List.init (String.length payload) Fun.id))
 
 let prop_wire_bitflip_never_raises =
   QCheck.Test.make ~count:300 ~name:"bit-flipped payloads never raise"
@@ -282,18 +281,11 @@ let prop_wire_bitflip_never_raises =
         (Char.chr (Char.code (Bytes.get payload pos) lxor (1 lsl bit)));
       match Wire.decode_payload (Bytes.to_string payload) with Ok _ | Error _ -> true)
 
-(* ------------------------------------------------------------------ *)
-(* Wire v5 <-> v4 interop
+(* Frontend tags and trace contexts round-trip on every frame that
+   carries them, present or absent. *)
 
-   The v5 context fields ride as trailing optional strings, so a v4
-   peer's bytes are, by construction, exactly the v5 encoding with the
-   context stripped.  Pin that construction: stripping the context
-   yields a strict prefix of the v5 frame, the v5 decoder reads those
-   v4 bytes back as a context-free spec, and contexts round-trip when
-   present. *)
-
-let interop_spec_gen =
-  (* one shared pool: the generator varies only the v5-relevant fields *)
+let ctx_spec_gen =
+  (* one shared pool: the generator varies only the frontend and context *)
   let base = spec_of_seed ~classes:6 1 in
   QCheck.Gen.(
     map2
@@ -312,20 +304,9 @@ let payload_of msg =
   let frame = Wire.encode msg in
   String.sub frame 4 (String.length frame - 4)
 
-let prop_wire_v4_bytes_decode_identically =
-  QCheck.Test.make ~count:100 ~name:"v4 frames are the ctx-stripped v5 frames"
-    (QCheck.make interop_spec_gen)
-    (fun spec ->
-      let v4_spec = { spec with Wire.trace_ctx = None } in
-      let v4 = payload_of (Wire.Submit v4_spec) in
-      let v5 = payload_of (Wire.Submit spec) in
-      String.length v4 <= String.length v5
-      && String.sub v5 0 (String.length v4) = v4
-      && Wire.decode_payload v4 = Ok (Wire.Submit v4_spec))
-
 let prop_wire_ctx_roundtrip =
-  QCheck.Test.make ~count:100 ~name:"v5 contexts round-trip on every ctx'd frame"
-    (QCheck.make interop_spec_gen)
+  QCheck.Test.make ~count:100 ~name:"trace contexts round-trip on every ctx'd frame"
+    (QCheck.make ctx_spec_gen)
     (fun spec ->
       [
         Wire.Submit spec;
@@ -900,8 +881,6 @@ let test_server_top_stats () =
       (match Client.connect socket with
       | Error m -> Alcotest.failf "stats connect: %s" m
       | Ok stats_client ->
-          Alcotest.(check int) "current protocol negotiated" Wire.protocol_version
-            (Client.negotiated_version stats_client);
           let saw_three = ref false and saw_best = ref false in
           let deadline = Unix.gettimeofday () +. 30. in
           while (not (!saw_three && !saw_best)) && Unix.gettimeofday () < deadline do
@@ -955,20 +934,56 @@ let test_server_top_stats () =
         (function Error m -> Alcotest.failf "job: %s" m | Ok _ -> ())
         results)
 
+(* A request before Hello, or a Hello of any other version, gets a
+   Protocol_error and then a closed connection. *)
 let test_server_rejects_bad_hello () =
   with_server "badhello" (fun socket _server ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_UNIX socket);
-      (* a Submit before Hello is a protocol error *)
-      Wire.write_message fd (Wire.Cancel "job-000001");
-      (match Wire.read_message fd with
-      | Ok (Wire.Protocol_error _) -> ()
-      | _ -> Alcotest.fail "expected Protocol_error");
-      (* and the server closes the connection *)
-      (match Wire.read_message fd with
-      | Error `Closed -> ()
-      | _ -> Alcotest.fail "expected close after protocol error");
-      Unix.close fd)
+      let expect_refused what first expected =
+        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.connect fd (Unix.ADDR_UNIX socket);
+        Wire.write_message fd first;
+        (match Wire.read_message fd with
+        | Ok (Wire.Protocol_error m) -> Alcotest.(check string) what expected m
+        | _ -> Alcotest.failf "%s: expected Protocol_error" what);
+        (match Wire.read_message fd with
+        | Error `Closed -> ()
+        | _ -> Alcotest.failf "%s: expected close after protocol error" what);
+        Unix.close fd
+      in
+      let mismatch v =
+        Printf.sprintf "protocol version mismatch (peer %d, node %d)" v Wire.protocol_version
+      in
+      expect_refused "request before hello" (Wire.Cancel "job-000001") "expected hello";
+      let older = Wire.protocol_version - 1 and newer = Wire.protocol_version + 1 in
+      expect_refused "older hello" (Wire.Hello older) (mismatch older);
+      expect_refused "newer hello" (Wire.Hello newer) (mismatch newer))
+
+(* The client side of the same rule: a Hello_ok carrying another version
+   fails the connect instead of proceeding. *)
+let test_client_rejects_mismatched_hello_ok () =
+  let socket = Filename.concat (fresh_dir "badhellook") "lbr.sock" in
+  let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind listen_fd (Unix.ADDR_UNIX socket);
+  Unix.listen listen_fd 1;
+  let peer =
+    Thread.create
+      (fun () ->
+        let fd, _ = Unix.accept listen_fd in
+        ignore (Wire.read_message fd);
+        Wire.write_message fd (Wire.Hello_ok (Wire.protocol_version + 1));
+        ignore (Wire.read_message fd);
+        Unix.close fd)
+      ()
+  in
+  (match Client.connect socket with
+  | Ok _ -> Alcotest.fail "connect accepted a mismatched Hello_ok"
+  | Error m ->
+      Alcotest.(check string) "mismatch named"
+        (Printf.sprintf "protocol version mismatch (peer %d, node %d)"
+           (Wire.protocol_version + 1) Wire.protocol_version)
+        m);
+  Thread.join peer;
+  Unix.close listen_fd
 
 let test_server_rejects_malformed_frame () =
   with_server "malformed" (fun socket _server ->
@@ -981,7 +996,7 @@ let test_server_rejects_malformed_frame () =
           Wire.write_message fd (Wire.Hello Wire.protocol_version);
           (match Wire.read_message fd with
           | Ok (Wire.Hello_ok v) ->
-              Alcotest.(check int) "negotiated version" Wire.protocol_version v
+              Alcotest.(check int) "accepted version" Wire.protocol_version v
           | _ -> Alcotest.fail "handshake failed");
           let garbage = "\x00\x00\x00\x03\xfe\xfe\xfe" in
           ignore (Unix.write_substring fd garbage 0 (String.length garbage) : int);
@@ -991,34 +1006,8 @@ let test_server_rejects_malformed_frame () =
           Unix.close fd;
           Client.close client)
 
-(* A v2 client (pre-cluster vintage) against a v3 daemon: handshake
-   negotiates down to 2, the submission runs, the result is byte-identical
-   — and no v3 [Verdict] frames leak onto the connection. *)
-let test_server_v2_client_interop () =
-  with_server "v2compat" (fun socket _server ->
-      let seed = 21 in
-      let _, ref_bytes = reference_run ~classes:16 seed in
-      match Client.connect ~version:2 socket with
-      | Error m -> Alcotest.failf "v2 connect: %s" m
-      | Ok client ->
-          Alcotest.(check int) "negotiated down to 2" 2
-            (Client.negotiated_version client);
-          let verdicts = ref 0 in
-          let result =
-            Client.submit client
-              ~on_verdict:(fun ~key:_ ~ok:_ -> incr verdicts)
-              (spec_of_seed ~classes:16 seed)
-          in
-          Client.close client;
-          (match result with
-          | Error m -> Alcotest.failf "v2 submit: %s" m
-          | Ok (_, _, bytes) ->
-              Alcotest.(check string) "v2 result byte-identical" ref_bytes bytes;
-              Alcotest.(check int) "no Verdict frames on a v2 connection" 0
-                !verdicts))
-
-(* The flip side: a v3 connection streams one Verdict frame per fresh
-   predicate evaluation, in executed order. *)
+(* A connection streams one Verdict frame per fresh predicate evaluation,
+   in executed order. *)
 let test_server_v3_verdict_stream () =
   with_server "v3verdicts" (fun socket _server ->
       let seed = 21 in
@@ -1042,25 +1031,7 @@ let test_server_v3_verdict_stream () =
                 stats.Wire.predicate_runs !verdicts;
               Alcotest.(check bool) "evaluations happened" true (!verdicts > 0)))
 
-(* Submit_seeded is v3 vocabulary; on a v2 connection it is a protocol
-   error, not a silently mis-parsed frame. *)
-let test_server_seeded_submit_rejected_on_v2 () =
-  with_server "seededv2" (fun socket _server ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_UNIX socket);
-      Wire.write_message fd (Wire.Hello 2);
-      (match Wire.read_message fd with
-      | Ok (Wire.Hello_ok 2) -> ()
-      | _ -> Alcotest.fail "expected Hello_ok 2");
-      Wire.write_message fd
-        (Wire.Submit_seeded
-           { spec = spec_of_seed ~classes:6 1; seeds = [ (String.make 32 'a', true) ] });
-      (match Wire.read_message fd with
-      | Ok (Wire.Protocol_error _) -> ()
-      | _ -> Alcotest.fail "expected Protocol_error for Submit_seeded on v2");
-      Unix.close fd)
-
-(* A v5 connection can pull the daemon's span rings and metric registry;
+(* A connection can pull the daemon's span rings and metric registry;
    the server and the test share a process, so enabling tracing here
    makes the server's own job spans visible in the dump. *)
 let test_server_observability_dumps () =
@@ -1072,7 +1043,6 @@ let test_server_observability_dumps () =
           match Client.connect socket with
           | Error m -> Alcotest.failf "connect: %s" m
           | Ok client ->
-              Alcotest.(check int) "negotiated v5" 5 (Client.negotiated_version client);
               (match Client.submit client (spec_of_seed ~classes:16 21) with
               | Error m -> Alcotest.failf "submit: %s" m
               | Ok _ -> ());
@@ -1089,22 +1059,6 @@ let test_server_observability_dumps () =
                   Alcotest.(check bool) "node label present" true (String.length node > 0);
                   Alcotest.(check bool) "registry snapshot non-empty" true (dump <> []));
               Client.close client))
-
-(* Dump requests are v5 vocabulary; a v4 peer gets a protocol error, not
-   a mis-parsed frame. *)
-let test_server_dumps_rejected_on_v4 () =
-  with_server "dumpv4" (fun socket _server ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_UNIX socket);
-      Wire.write_message fd (Wire.Hello 4);
-      (match Wire.read_message fd with
-      | Ok (Wire.Hello_ok 4) -> ()
-      | _ -> Alcotest.fail "expected Hello_ok 4");
-      Wire.write_message fd Wire.Trace_dump_request;
-      (match Wire.read_message fd with
-      | Ok (Wire.Protocol_error _) -> ()
-      | _ -> Alcotest.fail "expected Protocol_error for Trace_dump_request on v4");
-      Unix.close fd)
 
 let test_server_cancel_over_socket () =
   (* queue_depth 1 and jobs 1: park a long job, cancel it over the wire *)
@@ -1200,8 +1154,7 @@ let () =
         [ prop_wire_decode_never_raises; prop_wire_truncation_rejected;
           prop_wire_bitflip_never_raises; prop_wire_tcp_truncation_rejected;
           prop_wire_tcp_bitflip_never_raises ];
-      qsuite "wire-v5-interop"
-        [ prop_wire_v4_bytes_decode_identically; prop_wire_ctx_roundtrip ];
+      qsuite "wire-trace-prop" [ prop_wire_ctx_roundtrip ];
       ( "journal",
         [
           Alcotest.test_case "record, replay, terminal markers" `Quick
@@ -1239,18 +1192,14 @@ let () =
           Alcotest.test_case "live stats: queue depth, best-so-far, memo rate" `Slow
             test_server_top_stats;
           Alcotest.test_case "hello required" `Quick test_server_rejects_bad_hello;
+          Alcotest.test_case "client rejects a mismatched Hello_ok" `Quick
+            test_client_rejects_mismatched_hello_ok;
           Alcotest.test_case "malformed frame gets Protocol_error" `Quick
             test_server_rejects_malformed_frame;
-          Alcotest.test_case "v2 client interoperates with v3 daemon" `Slow
-            test_server_v2_client_interop;
           Alcotest.test_case "v3 connection streams Verdict frames" `Slow
             test_server_v3_verdict_stream;
-          Alcotest.test_case "Submit_seeded rejected on v2" `Quick
-            test_server_seeded_submit_rejected_on_v2;
           Alcotest.test_case "v5 trace + metrics dumps over the socket" `Slow
             test_server_observability_dumps;
-          Alcotest.test_case "dump requests rejected on v4" `Quick
-            test_server_dumps_rejected_on_v4;
           Alcotest.test_case "cancel over the socket" `Slow test_server_cancel_over_socket;
           Alcotest.test_case "draining rejects submissions" `Quick
             test_server_draining_rejects_submissions;
